@@ -34,6 +34,9 @@ impl CellCharacterizer {
 
     /// Minimum wordline voltage that flips the cell, by bisection.
     ///
+    /// The bisection drives the wordline itself and never reads
+    /// `bias.vwl`, so the result is the same for every applied `V_WL`.
+    ///
     /// # Errors
     ///
     /// [`CellError::BracketingFailed`] when even `2 × Vdd + |V_BL|` cannot
@@ -62,7 +65,8 @@ impl CellCharacterizer {
     /// Write margin: `bias.vwl − wordline_flip_voltage(bias)`.
     ///
     /// Negative values mean the applied wordline level cannot flip the
-    /// cell at all.
+    /// cell at all. Only the first term depends on `bias.vwl`: a scan
+    /// over wordline levels can solve the flip voltage once.
     ///
     /// # Errors
     ///
@@ -144,6 +148,19 @@ mod tests {
         let bias = AssistVoltages::nominal(vdd());
         let v = c.wordline_flip_voltage(&bias).unwrap();
         assert!(v.volts() > 0.05 && v.volts() < 0.9, "flip voltage = {v}");
+    }
+
+    #[test]
+    fn flip_voltage_ignores_applied_wordline_level() {
+        let c = chr(VtFlavor::Lvt);
+        let nominal = AssistVoltages::nominal(vdd());
+        let at = |mv| {
+            c.wordline_flip_voltage(&nominal.with_vwl(Voltage::from_millivolts(mv)))
+                .unwrap()
+                .volts()
+                .to_bits()
+        };
+        assert_eq!(at(450.0), at(620.0));
     }
 
     #[test]

@@ -34,6 +34,17 @@ pub enum CooptError {
     /// A cooperative cancellation token fired mid-search (deadline or
     /// shutdown); the sweep was abandoned at a slice boundary.
     Cancelled(CancelReason),
+    /// An injected characterization does not fit the query it was
+    /// handed: another flavor or supply, or unequal rails for an M1
+    /// query. Its tables (and rails) would answer a different question.
+    CellMismatch {
+        /// What differs: `"flavor"`, `"supply"` or `"M1 rail"`.
+        what: &'static str,
+        /// What the query needs.
+        expected: String,
+        /// What the cell holds.
+        found: String,
+    },
 }
 
 impl CooptError {
@@ -81,6 +92,14 @@ impl fmt::Display for CooptError {
                 )
             }
             CooptError::Cancelled(reason) => write!(f, "search cancelled: {reason}"),
+            CooptError::CellMismatch {
+                what,
+                expected,
+                found,
+            } => write!(
+                f,
+                "characterization does not match the query: {what} is {found}, expected {expected}"
+            ),
         }
     }
 }

@@ -266,21 +266,7 @@ impl CoOptimizationFramework {
     ) -> Result<OptimalDesign, CooptError> {
         self.characterization(flavor, method)?;
         let cell = &self.cache[&(flavor, method)];
-        Self::optimize_with_cell_inner(
-            cell,
-            &self.periphery,
-            &self.params,
-            &self.space,
-            self.delta(),
-            self.word_bits,
-            self.threads,
-            self.rails(flavor, method)?,
-            capacity,
-            flavor,
-            method,
-            objective,
-            &CancelToken::never(),
-        )
+        self.optimize_with_cell(cell, capacity, flavor, method, objective)
     }
 
     /// Optimizes against an injected, pre-built characterization — the
@@ -288,13 +274,14 @@ impl CoOptimizationFramework {
     /// once (via [`Self::characterize_cell`]) and any number of searches
     /// share it concurrently, since this method only borrows `&self`.
     ///
-    /// `cell` must have been characterized for the same
-    /// `(flavor, method)` pair (and this framework's supply); the rail
-    /// levels reported in the result are re-derived from the pair.
+    /// `cell` must have been characterized for the same flavor and
+    /// supply as the query; the rail levels reported in the result are
+    /// read from the cell, so nothing is simulated here.
     ///
     /// # Errors
     ///
-    /// Propagates rail-selection and search failures.
+    /// [`CooptError::CellMismatch`] when `cell` does not fit the query,
+    /// plus search failures.
     pub fn optimize_with_cell(
         &self,
         cell: &CellCharacterization,
@@ -333,55 +320,22 @@ impl CoOptimizationFramework {
         objective: &(impl Objective + Sync + ?Sized),
         cancel: &CancelToken,
     ) -> Result<OptimalDesign, CooptError> {
-        Self::optimize_with_cell_inner(
-            cell,
-            &self.periphery,
-            &self.params,
-            &self.space,
-            self.delta(),
-            self.word_bits,
-            self.threads,
-            self.rails(flavor, method)?,
-            capacity,
-            flavor,
-            method,
-            objective,
-            cancel,
-        )
-    }
-
-    /// The shared search body behind [`Self::optimize_with`] and
-    /// [`Self::optimize_with_cell`] (free of `self` borrows so the
-    /// cached-characterization path can split its borrow).
-    #[allow(clippy::too_many_arguments)]
-    fn optimize_with_cell_inner(
-        cell: &CellCharacterization,
-        periphery: &Periphery,
-        params: &ArrayParams,
-        space: &DesignSpace,
-        delta: Voltage,
-        word_bits: u32,
-        threads: usize,
-        rails: RailSelection,
-        capacity: Capacity,
-        flavor: VtFlavor,
-        method: Method,
-        objective: &(impl Objective + Sync + ?Sized),
-        cancel: &CancelToken,
-    ) -> Result<OptimalDesign, CooptError> {
+        let rails = self.cell_rails(cell, flavor, method)?;
         let space = match method {
-            Method::M1 => space.clone().without_negative_gnd(),
-            Method::M2 => space.clone(),
+            Method::M1 => self.space.clone().without_negative_gnd(),
+            Method::M2 => self.space.clone(),
         };
         let search = ExhaustiveSearch::new(
             cell,
-            periphery,
-            params,
+            &self.periphery,
+            &self.params,
             &space,
-            YieldConstraint::MinMargin { delta },
-            word_bits,
+            YieldConstraint::MinMargin {
+                delta: self.delta(),
+            },
+            self.word_bits,
         )
-        .with_threads(threads)
+        .with_threads(self.threads)
         .with_cancel(cancel.clone());
         let outcome = search.run(capacity, objective)?;
 
@@ -398,6 +352,49 @@ impl CoOptimizationFramework {
             metrics: outcome.metrics,
             stats: outcome.stats,
         })
+    }
+
+    /// The rails `cell` was characterized at, once it is checked to fit
+    /// a `(flavor, method)` query at this framework's supply.
+    /// [`Self::characterize_cell`] builds each grid from the post-policy
+    /// rails, so re-applying the policy returns them unchanged.
+    fn cell_rails(
+        &self,
+        cell: &CellCharacterization,
+        flavor: VtFlavor,
+        method: Method,
+    ) -> Result<RailSelection, CooptError> {
+        let mismatch = |what, expected: String, found: String| CooptError::CellMismatch {
+            what,
+            expected,
+            found,
+        };
+        if cell.flavor() != flavor {
+            return Err(mismatch(
+                "flavor",
+                flavor.to_string(),
+                cell.flavor().to_string(),
+            ));
+        }
+        if cell.vdd() != self.vdd {
+            return Err(mismatch(
+                "supply",
+                self.vdd.to_string(),
+                cell.vdd().to_string(),
+            ));
+        }
+        if method == Method::M1 && cell.vddc() != cell.vwl() {
+            return Err(mismatch(
+                "M1 rail",
+                "V_DDC = V_WL".to_string(),
+                format!("V_DDC {} / V_WL {}", cell.vddc(), cell.vwl()),
+            ));
+        }
+        Ok(RailSelection::from_minimums(
+            method,
+            cell.vddc(),
+            cell.vwl(),
+        ))
     }
 
     /// Verifies a winning design against the paper's *accurate* yield
@@ -579,6 +576,71 @@ mod tests {
             )
             .unwrap();
         assert_eq!(d.vssc, Voltage::ZERO, "M1 must not use negative Gnd");
+    }
+
+    fn mv(v: f64) -> Voltage {
+        Voltage::from_millivolts(v)
+    }
+
+    fn optimize_hvt(
+        fw: &CoOptimizationFramework,
+        cell: &CellCharacterization,
+        method: Method,
+    ) -> Result<OptimalDesign, CooptError> {
+        fw.optimize_with_cell(
+            cell,
+            Capacity::from_bytes(1024),
+            VtFlavor::Hvt,
+            method,
+            &EnergyDelayProduct,
+        )
+    }
+
+    #[test]
+    fn reported_rails_come_from_the_cell() {
+        // Simulated mode would measure other rails; reading exactly the
+        // injected ones shows no rail pass ran.
+        let fw = CoOptimizationFramework::simulated_mode().with_space(DesignSpace::coarse());
+        let m2_cell =
+            CellCharacterization::paper_with_rails(VtFlavor::Hvt, mv(450.0), mv(550.0), mv(540.0));
+        let d = optimize_hvt(&fw, &m2_cell, Method::M2).unwrap();
+        assert_eq!((d.vddc, d.vwl), (mv(550.0), mv(540.0)));
+        let m1_cell =
+            CellCharacterization::paper_with_rails(VtFlavor::Hvt, mv(450.0), mv(550.0), mv(550.0));
+        let d = optimize_hvt(&fw, &m1_cell, Method::M1).unwrap();
+        assert_eq!((d.vddc, d.vwl), (mv(550.0), mv(550.0)));
+    }
+
+    fn mismatch_of(result: Result<OptimalDesign, CooptError>) -> &'static str {
+        match result {
+            Err(CooptError::CellMismatch { what, .. }) => what,
+            other => panic!("expected a cell mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cell_of_another_flavor_is_refused() {
+        let fw = coarse_framework();
+        let cell =
+            CellCharacterization::paper_with_rails(VtFlavor::Lvt, fw.vdd(), mv(640.0), mv(490.0));
+        assert_eq!(mismatch_of(optimize_hvt(&fw, &cell, Method::M2)), "flavor");
+    }
+
+    #[test]
+    fn cell_at_another_supply_is_refused() {
+        let fw = coarse_framework();
+        let cell =
+            CellCharacterization::paper_with_rails(VtFlavor::Hvt, mv(400.0), mv(550.0), mv(540.0));
+        assert_eq!(mismatch_of(optimize_hvt(&fw, &cell, Method::M2)), "supply");
+    }
+
+    #[test]
+    fn m1_query_on_split_rail_cell_is_refused() {
+        let fw = coarse_framework();
+        let cell = fw.characterize_cell(VtFlavor::Hvt, Method::M2).unwrap();
+        let err = optimize_hvt(&fw, &cell, Method::M1).unwrap_err();
+        assert!(!err.is_transient());
+        assert_eq!(mismatch_of(Err(err)), "M1 rail");
     }
 
     #[test]

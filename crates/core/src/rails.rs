@@ -112,6 +112,10 @@ pub fn minimize_vddc(
 /// Finds the minimum `V_WL` (10 mV grid) whose write margin meets
 /// `delta`, by simulation.
 ///
+/// The write margin is `V_WL − flip voltage`, and the flip voltage does
+/// not depend on the applied `V_WL`, so it is bisected once and each
+/// grid level is tested against it.
+///
 /// # Errors
 ///
 /// [`CooptError::RailSearchFailed`] when no level up to 800 mV suffices.
@@ -120,14 +124,13 @@ pub fn minimize_vwl(
     delta: Voltage,
 ) -> Result<Voltage, CooptError> {
     let vdd = characterizer.vdd();
-    let nominal = AssistVoltages::nominal(vdd);
+    let flip = characterizer
+        .wordline_flip_voltage(&AssistVoltages::nominal(vdd))
+        .map_err(CooptError::Cell)?;
     let mut mv = vdd.millivolts();
     while mv <= 800.0 {
         let vwl = Voltage::from_millivolts(mv);
-        let wm = characterizer
-            .write_margin(&nominal.with_vwl(vwl))
-            .map_err(CooptError::Cell)?;
-        if wm >= delta {
+        if vwl - flip >= delta {
             return Ok(vwl);
         }
         mv += 10.0;
@@ -182,5 +185,38 @@ mod tests {
             "V_DDC min = {vddc}"
         );
         assert!((vwl.millivolts() - 540.0).abs() <= 40.0, "V_WL min = {vwl}");
+    }
+
+    /// The scan `minimize_vwl` replaced: one write-margin bisection per
+    /// 10 mV level.
+    fn minimize_vwl_per_level(chr: &CellCharacterizer, delta: Voltage) -> Option<Voltage> {
+        let nominal = AssistVoltages::nominal(chr.vdd());
+        let mut mv = chr.vdd().millivolts();
+        while mv <= 800.0 {
+            let vwl = Voltage::from_millivolts(mv);
+            if chr.write_margin(&nominal.with_vwl(vwl)).unwrap() >= delta {
+                return Some(vwl);
+            }
+            mv += 10.0;
+        }
+        None
+    }
+
+    #[test]
+    fn single_flip_scan_matches_per_level_scan() {
+        use sram_device::DeviceLibrary;
+        let lib = DeviceLibrary::sevennm();
+        for flavor in [VtFlavor::Lvt, VtFlavor::Hvt] {
+            for mv in [400.0, 450.0, 500.0] {
+                let vdd = Voltage::from_millivolts(mv);
+                let delta = vdd * 0.35;
+                let chr = CellCharacterizer::new(&lib, flavor)
+                    .with_vdd(vdd)
+                    .with_vtc_points(31);
+                let fast = minimize_vwl(&chr, delta).unwrap();
+                let reference = minimize_vwl_per_level(&chr, delta).unwrap();
+                assert_eq!(fast, reference, "{flavor:?} at {mv} mV");
+            }
+        }
     }
 }

@@ -1062,8 +1062,8 @@ pub fn ok_response(id: Option<&str>, cached: bool, result: &Json) -> Json {
 /// Builds an error envelope:
 /// `{"id":…,"status":…,"error":…,"retryable":…}` where the status is
 /// [`wire_status`] (`"busy"`, `"shutting_down"`, `"deadline_exceeded"`,
-/// `"internal"`, `"error"`) and `retryable` tells the client whether
-/// resending the same request can plausibly succeed.
+/// `"internal"`, `"cell_mismatch"`, `"error"`) and `retryable` tells the
+/// client whether resending the same request can plausibly succeed.
 #[must_use]
 pub fn error_response(id: Option<&str>, error: &ServeError) -> Json {
     let mut pairs: Vec<(String, Json)> = Vec::new();

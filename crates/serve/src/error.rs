@@ -93,9 +93,10 @@ impl From<std::io::Error> for ServeError {
 
 /// The wire status string a [`ServeError`] maps to. Retryable congestion
 /// (`"busy"`), lifecycle conditions (`"shutting_down"`,
-/// `"deadline_exceeded"`), and isolated worker panics (`"internal"`) are
-/// distinguishable from plain `"error"` so clients can react without
-/// parsing messages.
+/// `"deadline_exceeded"`), isolated worker panics (`"internal"`), and a
+/// cached characterization that does not fit its query
+/// (`"cell_mismatch"`, never retryable) are distinguishable from plain
+/// `"error"` so clients can react without parsing messages.
 #[must_use]
 pub fn wire_status(error: &ServeError) -> &'static str {
     match error {
@@ -103,6 +104,7 @@ pub fn wire_status(error: &ServeError) -> &'static str {
         ServeError::ShuttingDown => "shutting_down",
         ServeError::DeadlineExceeded => "deadline_exceeded",
         ServeError::Internal(_) => "internal",
+        ServeError::Coopt(sram_coopt::CooptError::CellMismatch { .. }) => "cell_mismatch",
         _ => "error",
     }
 }
@@ -132,6 +134,24 @@ mod tests {
         );
         assert_eq!(wire_status(&ServeError::Internal("x".into())), "internal");
         assert_eq!(wire_status(&ServeError::Protocol("bad".into())), "error");
+    }
+
+    #[test]
+    fn cell_mismatch_is_a_typed_final_reply() {
+        let e: ServeError = sram_coopt::CooptError::CellMismatch {
+            what: "flavor",
+            expected: "HVT".into(),
+            found: "LVT".into(),
+        }
+        .into();
+        assert_eq!(wire_status(&e), "cell_mismatch");
+        assert!(!e.is_retryable());
+        let reply = crate::engine::error_response(Some("7"), &e);
+        assert_eq!(
+            reply.get("status").and_then(crate::Json::as_str),
+            Some("cell_mismatch")
+        );
+        assert!(e.to_string().contains("flavor is LVT, expected HVT"));
     }
 
     #[test]

@@ -45,9 +45,11 @@
 //! trees stitch into one timeline) are
 //! accepted on every op. Error replies carry `"status":"error"`,
 //! `"busy"` (queue full — retry), `"deadline_exceeded"`,
-//! `"shutting_down"`, or `"internal"` (a worker panicked mid-request;
-//! the panic was isolated and the worker respawned), plus a
-//! `"retryable"` boolean so clients can react without parsing messages.
+//! `"shutting_down"`, `"internal"` (a worker panicked mid-request;
+//! the panic was isolated and the worker respawned), or
+//! `"cell_mismatch"` (a characterization that does not fit the query),
+//! plus a `"retryable"` boolean so clients can react without parsing
+//! messages.
 //!
 //! # Example (in-process)
 //!
