@@ -73,19 +73,19 @@ fn bench_trajectory(threads: usize) -> Result<String, String> {
 }
 
 fn chaos_soak(threads: usize) -> Result<String, String> {
-    crate::chaos::run(threads)
+    crate::soak::run("chaos", threads)
 }
 
 fn telemetry_soak(threads: usize) -> Result<String, String> {
-    crate::telemetry::run(threads)
+    crate::soak::run("telemetry", threads)
 }
 
 fn cluster_soak(threads: usize) -> Result<String, String> {
-    crate::cluster::run(threads)
+    crate::soak::run("cluster", threads)
 }
 
 fn trace_soak(threads: usize) -> Result<String, String> {
-    crate::trace_soak::run(threads)
+    crate::soak::run("trace", threads)
 }
 
 /// Every experiment the binary can run, in execution order.

@@ -18,19 +18,14 @@
 //! | [`extensions`] | Banking, drowsy standby, statistically derated optimization |
 //! | [`serve`] | Query-server bench: batching, result cache, TCP round trip |
 //! | [`trajectory`] | Performance trajectory: search throughput, cache latency, trace overhead |
-//! | [`chaos`] | Chaos soak: deterministic fault injection under multi-client load |
-//! | [`telemetry`] | Telemetry soak: windowed metrics, SLO health, sampled tracing under load |
-//! | [`cluster`] | Cluster soak: router failover, hedging, and key affinity over 3 nodes |
-//! | [`trace_soak`] | Trace soak: distributed tracing, span stitching, federated metrics |
+//! | [`soak`] | The chaos, telemetry, cluster and trace soaks: one driver over a table of scenarios (fault plan, traffic shape, invariant list) |
 //! | [`cli`] | Experiment registry + selection for the `reproduce` binary |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod chaos;
 pub mod cli;
-pub mod cluster;
 pub mod extensions;
 pub mod fig2;
 pub mod fig3;
@@ -38,9 +33,8 @@ pub mod fig5;
 pub mod fig7;
 pub mod readfit;
 pub mod serve;
+pub mod soak;
 pub mod table4;
-pub mod telemetry;
-pub mod trace_soak;
 pub mod trajectory;
 pub mod yieldk;
 
