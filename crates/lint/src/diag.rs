@@ -1,6 +1,7 @@
 //! Diagnostics: severity levels, the diagnostic record, and the text /
 //! JSON renderers.
 
+use sram_probe::json::render_string;
 use std::fmt::Write as _;
 
 /// Severity assigned to a rule.
@@ -56,9 +57,6 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Files whose analysis was reused from the incremental cache
-    /// (content hash unchanged since the cached run).
-    pub files_skipped: usize,
     /// Findings silenced by inline `sram-lint: allow(…)` comments.
     pub suppressed: usize,
 }
@@ -92,10 +90,8 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "sram-lint: {} file(s) scanned ({} unchanged from cache), {} error(s), \
-             {} warning(s), {} suppressed",
+            "sram-lint: {} file(s) scanned, {} error(s), {} warning(s), {} suppressed",
             self.files_scanned,
-            self.files_skipped,
             self.deny_count(),
             self.warn_count(),
             self.suppressed
@@ -103,13 +99,12 @@ impl Report {
         out
     }
 
-    /// Renders the report as a JSON document (hand-rolled serializer —
-    /// this workspace links no serialization ecosystem).
+    /// Renders the report as a JSON document (strings escaped by the
+    /// workspace codec's [`render_string`]).
     #[must_use]
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
-        let _ = writeln!(out, "  \"files_skipped\": {},", self.files_skipped);
         let _ = writeln!(out, "  \"suppressed\": {},", self.suppressed);
         let _ = writeln!(
             out,
@@ -171,24 +166,10 @@ pub fn render_diagnostic(d: &Diagnostic) -> String {
     out
 }
 
-/// JSON string literal with escaping.
+/// `s` as a quoted JSON string literal.
 pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    render_string(s, &mut out);
     out
 }
 
@@ -229,12 +210,10 @@ mod tests {
         let report = Report {
             diagnostics: vec![sample()],
             files_scanned: 3,
-            files_skipped: 2,
             suppressed: 1,
         };
         let json = report.render_json();
         assert!(json.contains("\"files_scanned\": 3"));
-        assert!(json.contains("\"files_skipped\": 2"));
         assert!(json.contains("\"rule\": \"no-panic\""));
         assert!(json.contains("\"counts\": {\"deny\": 1, \"warn\": 0}"));
     }

@@ -1,18 +1,16 @@
-//! The lint driver: a parallel, incrementally-cached pipeline.
+//! The lint driver: a parallel two-phase pipeline.
 //!
-//! The run is two-phase. Phase one analyzes every `.rs` file
-//! independently — lexing, the per-file rules, suppression parsing, and
-//! symbol-graph fact extraction — on a scoped worker pool, reusing
-//! cached results for files whose content hash is unchanged. Phase two
-//! is sequential: the per-file facts assemble into a workspace
+//! Phase one analyzes every `.rs` file independently — lexing, the
+//! per-file rules, suppression parsing, and symbol-graph fact
+//! extraction — on a scoped worker pool. Phase two is sequential: the per-file facts assemble into a workspace
 //! [`Graph`], the cross-file rules run over it, and every finding
 //! (per-file and cross-file alike) resolves against the same inline
 //! suppressions so `unused-suppression` sees the whole picture.
 //!
 //! Phase one is embarrassingly parallel because [`FileAnalysis`] is a
-//! pure function of `(path, bytes)`; phase two re-runs even on a fully
-//! warm cache because cross-file conclusions depend on the *set* of
-//! files, not any one of them.
+//! pure function of `(path, bytes)`; phase two needs every file because
+//! cross-file conclusions depend on the *set* of files, not any one of
+//! them.
 
 use crate::config::Config;
 use crate::context::{FileCtx, Suppression};
@@ -35,16 +33,11 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", "node_modules"];
 
 /// Everything phase one produces for one file: raw findings, parsed
 /// suppressions, symbol-graph facts, and the source excerpts any later
-/// diagnostic could need. This is exactly the unit the incremental
-/// cache stores, keyed by the file's content hash.
-#[derive(Debug, Clone)]
+/// diagnostic could need.
+#[derive(Debug)]
 pub struct FileAnalysis {
     /// Path relative to the linted root, `/`-separated.
     pub rel: String,
-    /// FNV-1a-64 hash of the file's bytes (the cache key).
-    pub hash: u64,
-    /// `true` when this analysis was reused from the cache.
-    pub from_cache: bool,
     /// `false` when the file could not be read (its `raw` then carries
     /// a `parse-error` and nothing else).
     pub scanned: bool,
@@ -55,25 +48,22 @@ pub struct FileAnalysis {
     /// Use/def facts feeding the workspace [`Graph`].
     pub facts: FileFacts,
     /// Source text of every line a diagnostic might anchor to (raw
-    /// findings, suppression comments, fact sites), so cached files can
+    /// findings, suppression comments, fact sites), so phase two can
     /// render excerpts without re-reading the source.
     pub excerpts: BTreeMap<u32, String>,
 }
 
 impl FileAnalysis {
-    /// A freshly-computed (non-cache) analysis with no excerpts yet.
+    /// A scanned file's analysis with no excerpts yet.
     #[must_use]
     pub fn fresh(
         rel: String,
-        hash: u64,
         raw: Vec<RawDiag>,
         suppressions: Vec<Suppression>,
         facts: FileFacts,
     ) -> Self {
         Self {
             rel,
-            hash,
-            from_cache: false,
             scanned: true,
             raw,
             suppressions,
@@ -86,9 +76,6 @@ impl FileAnalysis {
 /// Engine knobs beyond rule severities.
 #[derive(Debug, Default)]
 pub struct Options {
-    /// Incremental cache file to read before and write after the run
-    /// (`None` disables caching).
-    pub cache: Option<PathBuf>,
     /// Worker thread count (`None` = available parallelism).
     pub threads: Option<usize>,
 }
@@ -122,23 +109,10 @@ pub fn run_with(root: &Path, config: &Config, options: &Options) -> io::Result<R
         })
         .collect();
 
-    let cached: HashMap<String, FileAnalysis> = options
-        .cache
-        .as_deref()
-        .map(crate::cache::load)
-        .unwrap_or_default();
-
-    let analyses = analyze_all(&files, &cached, options.threads);
-
-    if let Some(path) = options.cache.as_deref() {
-        // A failed cache write costs the next run speed, not this run
-        // correctness.
-        let _ = crate::cache::save(path, &analyses);
-    }
+    let analyses = analyze_all(&files, options.threads);
 
     let mut report = Report {
         files_scanned: analyses.iter().filter(|a| a.scanned).count(),
-        files_skipped: analyses.iter().filter(|a| a.from_cache).count(),
         ..Report::default()
     };
 
@@ -214,14 +188,9 @@ pub fn run_with(root: &Path, config: &Config, options: &Options) -> io::Result<R
     Ok(report)
 }
 
-/// Phase one: analyzes every file on a scoped worker pool, reusing
-/// cache entries whose content hash still matches. Results come back in
-/// input order regardless of completion order.
-fn analyze_all(
-    files: &[(PathBuf, String)],
-    cached: &HashMap<String, FileAnalysis>,
-    threads: Option<usize>,
-) -> Vec<FileAnalysis> {
+/// Phase one: analyzes every file on a scoped worker pool. Results come
+/// back in input order regardless of completion order.
+fn analyze_all(files: &[(PathBuf, String)], threads: Option<usize>) -> Vec<FileAnalysis> {
     let workers = threads
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
         .clamp(1, files.len().max(1));
@@ -236,7 +205,7 @@ fn analyze_all(
                 let Some((path, rel)) = files.get(i) else {
                     break;
                 };
-                let _ = tx.send((i, analyze_file(path, rel, cached)));
+                let _ = tx.send((i, analyze_file(path, rel)));
             });
         }
     });
@@ -250,21 +219,10 @@ fn analyze_all(
     slots.into_iter().flatten().collect()
 }
 
-/// Analyzes one file: read, hash, consult the cache, run the per-file
-/// rules and fact extraction on a miss.
-fn analyze_file(path: &Path, rel: &str, cached: &HashMap<String, FileAnalysis>) -> FileAnalysis {
-    let Ok(bytes) = std::fs::read(path) else {
-        return unreadable(rel);
-    };
-    let hash = crate::cache::fnv1a64(&bytes);
-    if let Some(entry) = cached.get(rel) {
-        if entry.hash == hash {
-            let mut reused = entry.clone();
-            reused.from_cache = true;
-            return reused;
-        }
-    }
-    let Ok(src) = String::from_utf8(bytes) else {
+/// Analyzes one file: read, then run the per-file rules and fact
+/// extraction.
+fn analyze_file(path: &Path, rel: &str) -> FileAnalysis {
+    let Ok(src) = std::fs::read_to_string(path) else {
         return unreadable(rel);
     };
     let ctx = FileCtx::new(rel.to_owned(), &src);
@@ -298,17 +256,16 @@ fn analyze_file(path: &Path, rel: &str, cached: &HashMap<String, FileAnalysis>) 
     doc_coverage::check(&ctx, &mut raw);
     let facts = crate::graph::extract(&ctx, &mut raw);
     let excerpts = collect_excerpts(&ctx, &raw, &facts);
-    let mut analysis = FileAnalysis::fresh(ctx.rel, hash, raw, ctx.suppressions, facts);
+    let mut analysis = FileAnalysis::fresh(ctx.rel, raw, ctx.suppressions, facts);
     analysis.excerpts = excerpts;
     analysis
 }
 
 /// The analysis recorded for a file that could not be read (or is not
-/// UTF-8). It is never cached — there is no content to hash.
+/// UTF-8).
 fn unreadable(rel: &str) -> FileAnalysis {
     let mut analysis = FileAnalysis::fresh(
         rel.to_owned(),
-        0,
         vec![RawDiag {
             rule: "parse-error",
             line: 1,
@@ -346,8 +303,8 @@ fn collect_excerpts(ctx: &FileCtx, raw: &[RawDiag], facts: &FileFacts) -> BTreeM
 }
 
 /// Indices of every suppression covering `rule` at `line` (the
-/// slice-based twin of `FileCtx::matching_suppressions`, usable for
-/// cache-restored files that have no `FileCtx`).
+/// slice-based twin of `FileCtx::matching_suppressions`, usable in
+/// phase two, where files no longer have a `FileCtx`).
 fn matching_suppressions(suppressions: &[Suppression], rule: &str, line: u32) -> Vec<usize> {
     suppressions
         .iter()
@@ -458,24 +415,9 @@ mod tests {
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let root = here.join("fixtures/ws");
         let config = Config::new();
-        let serial = run_with(
-            &root,
-            &config,
-            &Options {
-                cache: None,
-                threads: Some(1),
-            },
-        )
-        .expect("serial run");
-        let parallel = run_with(
-            &root,
-            &config,
-            &Options {
-                cache: None,
-                threads: Some(8),
-            },
-        )
-        .expect("parallel run");
+        let serial = run_with(&root, &config, &Options { threads: Some(1) }).expect("serial run");
+        let parallel =
+            run_with(&root, &config, &Options { threads: Some(8) }).expect("parallel run");
         assert_eq!(serial.render_text(), parallel.render_text());
     }
 }

@@ -8,9 +8,8 @@
 //! registrations, experiment registry entries) and references to them
 //! (dot-accessed identifiers, metric-name string literals) — and
 //! [`Graph::build`] merges them into one queryable index. The facts are
-//! pure functions of a file's path and content, which is what makes the
-//! on-disk cache ([`crate::cache`]) sound: a cached file contributes
-//! its facts to the graph without being re-lexed.
+//! pure functions of a file's path and content, so files are analyzed
+//! in parallel and merged afterwards.
 //!
 //! The graph is deliberately lexical, like everything else in this
 //! linter: a "reference" to a parameter is a `.field` dot access
@@ -407,7 +406,7 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Merges per-file facts (live or cache-restored) into one index.
+    /// Merges per-file facts into one index.
     /// `analyses` must be in walk (sorted-path) order so downstream
     /// diagnostics are deterministic.
     #[must_use]

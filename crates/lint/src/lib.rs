@@ -6,7 +6,8 @@
 //! the SPICE inner loop kills a 50k-point Monte Carlo run, or that two
 //! probe sites disagreeing on a metric's kind corrupts every dashboard
 //! downstream. This crate encodes those house rules as a fast,
-//! dependency-free lint pass.
+//! std-only lint pass (its one workspace dependency is `sram-probe`,
+//! for the shared JSON string escaper).
 //!
 //! The analysis is intentionally lexical: a hand-written, string- and
 //! comment-aware Rust lexer ([`lexer`]) feeds token-pattern rules
@@ -37,12 +38,9 @@
 //! mentions that use them. Three rules consume it — `dead-parameter`,
 //! `config-sync`, `probe-drift` — plus the graph-driven halves of
 //! `probe-naming` and `registry-sync`. File analysis runs in parallel
-//! and is incrementally cached ([`cache`], enabled by pointing
-//! `SRAM_LINT_CACHE` at a file); results can render as text, JSON, or
-//! SARIF 2.1.0 ([`sarif`]).
+//! ([`engine`]); results can render as text, JSON, or SARIF 2.1.0
+//! ([`sarif`]).
 
-pub mod bench_self;
-pub mod cache;
 pub mod config;
 pub mod context;
 pub mod diag;

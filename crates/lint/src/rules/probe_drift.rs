@@ -246,7 +246,7 @@ mod tests {
                 let ctx = FileCtx::new((*rel).to_owned(), src);
                 let mut out = Vec::new();
                 let facts = crate::graph::extract(&ctx, &mut out);
-                FileAnalysis::fresh((*rel).to_owned(), 0, Vec::new(), Vec::new(), facts)
+                FileAnalysis::fresh((*rel).to_owned(), Vec::new(), Vec::new(), facts)
             })
             .collect();
         Graph::build(&analyses)

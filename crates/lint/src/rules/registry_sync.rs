@@ -146,7 +146,7 @@ mod tests {
         let ctx = FileCtx::new(CLI_PATH.to_owned(), src);
         let mut out = Vec::new();
         let facts = crate::graph::extract(&ctx, &mut out);
-        let analysis = FileAnalysis::fresh(CLI_PATH.to_owned(), 0, Vec::new(), Vec::new(), facts);
+        let analysis = FileAnalysis::fresh(CLI_PATH.to_owned(), Vec::new(), Vec::new(), facts);
         Graph::build(std::slice::from_ref(&analysis))
     }
 

@@ -5,7 +5,7 @@
 //! most CI dashboards). This renderer emits the minimal valid subset:
 //! one run, driver metadata with the full rule registry, and one
 //! `result` per diagnostic with a physical location. Hand-rolled like
-//! the JSON renderer — this workspace links no serialization ecosystem.
+//! the JSON renderer, with strings escaped by the workspace JSON codec.
 
 use crate::diag::{Level, Report};
 
@@ -113,7 +113,6 @@ mod tests {
                 },
             ],
             files_scanned: 2,
-            files_skipped: 0,
             suppressed: 0,
         }
     }

@@ -6,6 +6,7 @@
 //! stops firing (or starts double-firing) breaks the build.
 
 use sram_lint::{find_workspace_root, run, Config, Diagnostic, Level, Report};
+use sram_probe::json::Json;
 use std::path::{Path, PathBuf};
 
 fn fixture_root() -> PathBuf {
@@ -172,27 +173,7 @@ fn json_rendering_of_the_fixture_report_is_well_formed() {
     let json = report.render_json();
     assert!(json.contains("\"files_scanned\": 19"));
     assert!(json.contains("\"counts\": {\"deny\": 34, \"warn\": 0}"));
-    // Balanced braces/brackets outside strings — cheap well-formedness
-    // check without a JSON parser in the dependency-free workspace.
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut escape = false;
-    for c in json.chars() {
-        if escape {
-            escape = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => escape = true,
-            '"' => in_str = !in_str,
-            '{' | '[' if !in_str => depth += 1,
-            '}' | ']' if !in_str => depth -= 1,
-            _ => {}
-        }
-        assert!(depth >= 0, "unbalanced close in JSON output");
-    }
-    assert_eq!(depth, 0, "unbalanced JSON output");
-    assert!(!in_str, "unterminated string in JSON output");
+    Json::parse(&json).expect("fixture JSON report parses");
 }
 
 #[test]
@@ -215,6 +196,33 @@ fn the_workspace_lints_clean_under_deny_all() {
         report.files_scanned > 50,
         "walker lost the workspace: only {} files",
         report.files_scanned
+    );
+
+    // The `--format json` and `--format sarif` documents parse with the
+    // workspace codec and say the same thing.
+    let json = Json::parse(&report.render_json()).expect("JSON report parses");
+    let deny = json.get("counts").and_then(|c| c.get("deny"));
+    assert_eq!(deny.and_then(Json::as_u64), Some(0));
+    let scanned = json.get("files_scanned").and_then(Json::as_u64);
+    assert!(scanned.is_some_and(|n| n > 50), "files_scanned {scanned:?}");
+
+    let sarif = Json::parse(&sram_lint::sarif::render_sarif(&report)).expect("SARIF parses");
+    assert_eq!(sarif.get("version").and_then(Json::as_str), Some("2.1.0"));
+    let runs = sarif.get("runs").and_then(Json::as_array).expect("runs");
+    let driver = runs[0]
+        .get("tool")
+        .and_then(|t| t.get("driver"))
+        .expect("tool.driver");
+    assert_eq!(driver.get("name").and_then(Json::as_str), Some("sram-lint"));
+    let rules = driver
+        .get("rules")
+        .and_then(Json::as_array)
+        .map_or(0, <[Json]>::len);
+    assert!(rules >= 13, "rule metadata incomplete: {rules} rules");
+    assert_eq!(
+        runs[0].get("results").and_then(Json::as_array),
+        Some(&[][..]),
+        "a clean workspace has no SARIF results"
     );
 }
 

@@ -47,8 +47,7 @@
 //! [`snapshot`] copies the registry into a plain [`Snapshot`], which
 //! can be [diffed](Snapshot::diff) against an earlier snapshot,
 //! [rendered](Snapshot::render_table) as an aligned table, or
-//! [exported](Snapshot::to_json) as JSON (hand-rolled serializer —
-//! this workspace links no serialization ecosystem). [`reset`] zeroes
+//! [exported](Snapshot::to_json) as JSON. [`reset`] zeroes
 //! every registered metric in place.
 //!
 //! # Tracing
@@ -74,10 +73,20 @@
 //! a mergeable log-linear histogram and a Prometheus-style text
 //! exposition. The [`log`] module writes structured JSON-lines events
 //! (`SRAM_LOG=path`, leveled) for rare operator-relevant moments.
+//!
+//! # Shared primitives
+//!
+//! [`json`] is the workspace's one JSON codec (the serve wire protocol,
+//! fault plans, lint reports) and its string writer is the one JSON
+//! escaper every renderer here uses. [`hash`] holds the one FNV-1a and
+//! SplitMix64 used for cache keys, fault streams, ring placement and
+//! trace sampling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
+pub mod json;
 mod level;
 pub mod log;
 mod metrics;

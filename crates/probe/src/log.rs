@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Mutex, Once, OnceLock, PoisonError};
 use std::time::SystemTime;
 
+use crate::json::render_string;
 use crate::metrics::Counter;
 
 /// Event severity, ordered.
@@ -185,35 +186,18 @@ pub fn enabled(level: LogLevel) -> bool {
     ACTIVE.load(Ordering::Relaxed) && level >= min_level()
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn render_line(level: LogLevel, event: &str, fields: &[(&str, LogValue)]) -> String {
     let ts_ms = SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map_or(0, |d| d.as_millis() as u64);
     let mut line = String::with_capacity(96);
     let _ = write!(line, "{{\"ts_ms\":{ts_ms},\"level\":\"{}\",", level.name());
-    line.push_str("\"event\":\"");
-    escape_into(&mut line, event);
-    line.push('"');
+    line.push_str("\"event\":");
+    render_string(event, &mut line);
     for (key, value) in fields {
-        line.push_str(",\"");
-        escape_into(&mut line, key);
-        line.push_str("\":");
+        line.push(',');
+        render_string(key, &mut line);
+        line.push(':');
         match value {
             LogValue::U64(v) => {
                 let _ = write!(line, "{v}");
@@ -231,11 +215,7 @@ fn render_line(level: LogLevel, event: &str, fields: &[(&str, LogValue)]) -> Str
             LogValue::Bool(v) => {
                 let _ = write!(line, "{v}");
             }
-            LogValue::Str(s) => {
-                line.push('"');
-                escape_into(&mut line, s);
-                line.push('"');
-            }
+            LogValue::Str(s) => render_string(s, &mut line),
             LogValue::Raw(json) => line.push_str(json),
         }
     }

@@ -40,6 +40,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
+use crate::hash::splitmix64;
+use crate::json::render_string;
 use crate::snapshot::format_nanos;
 
 /// Maximum `(key, value)` argument pairs one event can carry.
@@ -219,17 +221,6 @@ pub fn set_sampling(rate: f64, seed: u64) {
 pub fn sampling() -> (f64, u64) {
     let rate = sample_rate();
     (rate, SAMPLE_SEED.load(Ordering::Relaxed))
-}
-
-/// SplitMix64 — the same stateless-stream construction `sram-faults`
-/// uses for per-point PRNGs: hashing `seed ^ key` makes the decision
-/// for a given root a pure function of the two, independent of thread
-/// interleaving or call order.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Probabilistically force-enables tracing for one root (a request, a
@@ -905,10 +896,10 @@ pub fn chrome_trace_json_labeled(sources: &[(u32, &str, &[TraceEvent])]) -> Stri
         first = false;
         let _ = write!(
             out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(label),
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":"
         );
+        render_string(label, &mut out);
+        out.push_str("}}");
         for event in *events {
             out.push(',');
             let (ph, tid) = match event.phase {
@@ -916,10 +907,11 @@ pub fn chrome_trace_json_labeled(sources: &[(u32, &str, &[TraceEvent])]) -> Stri
                 Phase::End => ("E", event.tid),
                 Phase::Complete => ("X", event.tid + COMPLETE_LANE_OFFSET),
             };
+            out.push_str("{\"name\":");
+            render_string(event.name, &mut out);
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"cat\":\"sram\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3}",
-                escape(event.name),
+                ",\"cat\":\"sram\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3}",
                 event.t_ns as f64 / 1e3,
             );
             if event.phase == Phase::Complete {
@@ -934,13 +926,10 @@ pub fn chrome_trace_json_labeled(sources: &[(u32, &str, &[TraceEvent])]) -> Stri
                 }
             }
             for (key, value) in &event.args {
-                if !wrote_args {
-                    out.push_str(",\"args\":{");
-                    wrote_args = true;
-                    let _ = write!(out, "\"{}\":{value}", escape(key));
-                } else {
-                    let _ = write!(out, ",\"{}\":{value}", escape(key));
-                }
+                out.push_str(if wrote_args { "," } else { ",\"args\":{" });
+                wrote_args = true;
+                render_string(key, &mut out);
+                let _ = write!(out, ":{value}");
             }
             if wrote_args {
                 out.push('}');
@@ -949,21 +938,6 @@ pub fn chrome_trace_json_labeled(sources: &[(u32, &str, &[TraceEvent])]) -> Stri
         }
     }
     out.push_str("]}");
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

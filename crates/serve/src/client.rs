@@ -7,8 +7,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::error::ServeError;
-use crate::json::Json;
 use crate::query::Request;
+use sram_probe::json::Json;
 
 /// One connection speaking the request/response line protocol.
 pub struct Client {

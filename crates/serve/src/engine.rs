@@ -30,8 +30,7 @@ use sram_faults::CancelToken;
 
 use crate::cache::{CacheConfig, CacheCounters, ResultCache};
 use crate::error::{wire_status, ServeError};
-use crate::json::Json;
-use crate::query::{fnv1a64, Query, Request};
+use crate::query::{Query, Request};
 use sram_array::{ArrayModel, ArrayOrganization, Capacity};
 use sram_cell::{CellCharacterization, MarginStats, YieldAnalysis};
 use sram_coopt::{
@@ -39,6 +38,8 @@ use sram_coopt::{
     YieldConstraint,
 };
 use sram_device::VtFlavor;
+use sram_probe::hash::fnv1a64;
+use sram_probe::json::Json;
 use sram_units::Voltage;
 
 /// The sigma multiplier reported by yield-check responses (the paper's

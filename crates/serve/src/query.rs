@@ -17,11 +17,12 @@
 //! *canonical* rendering of the parsed query, never from the raw line.
 
 use crate::error::ServeError;
-use crate::json::Json;
 use sram_coopt::{
     DelayOnly, EnergyDelayProduct, EnergyDelaySquared, EnergyOnly, Method, Objective,
 };
 use sram_device::VtFlavor;
+use sram_probe::hash::fnv1a64;
+use sram_probe::json::Json;
 use sram_probe::trace::TraceCtx;
 
 /// Largest accepted capacity (64 MiB) — guards the exhaustive search
@@ -169,19 +170,6 @@ pub struct Request {
     pub trace_ctx: Option<TraceCtx>,
     /// The validated query.
     pub query: Query,
-}
-
-/// 64-bit FNV-1a — the content hash behind cache keys. Collisions are
-/// tolerated by the cache (entries also store the canonical string),
-/// so a small, dependency-free hash is enough.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn flavor_wire(flavor: VtFlavor) -> &'static str {
@@ -837,13 +825,5 @@ mod tests {
                 "should reject trace_ctx {ctx}"
             );
         }
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

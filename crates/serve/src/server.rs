@@ -33,8 +33,8 @@ use sram_faults::CancelToken;
 
 use crate::engine::{error_response, Engine};
 use crate::error::ServeError;
-use crate::json::Json;
 use crate::query::Request;
+use sram_probe::json::Json;
 
 /// Environment variable naming the cache spill file ([`ServerConfig`]
 /// default). When set, the server warm-starts its result cache from the
