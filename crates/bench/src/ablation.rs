@@ -79,6 +79,7 @@ pub fn pareto_ablation(capacity: Capacity) -> Result<ParetoAblation, CooptError>
     let params = ArrayParams::paper_defaults();
     let space = DesignSpace::paper_default().with_strides(3, 2);
     let constraint = YieldConstraint::paper_delta(vdd);
+    let (npre_values, nwr_values) = (space.npre_values(), space.nwr_values());
 
     let mut front: ParetoFront<(u32, u32, u32, i32)> = ParetoFront::new();
     let mut evaluated = 0usize;
@@ -88,13 +89,12 @@ pub fn pareto_ablation(capacity: Capacity) -> Result<ParetoAblation, CooptError>
             if !constraint.check_snapshot(&cell, vssc) {
                 continue;
             }
-            for &n_pre in &space.npre_values() {
-                for &n_wr in &space.nwr_values() {
-                    let metrics = ArrayModel::new(org, &cell, &periphery, &params)
-                        .with_precharge_fins(n_pre)
-                        .with_write_fins(n_wr)
-                        .with_vssc(vssc)
-                        .evaluate()?;
+            let slice = ArrayModel::new(org, &cell, &periphery, &params)
+                .with_vssc(vssc)
+                .prepare()?;
+            for &n_pre in &npre_values {
+                for &n_wr in &nwr_values {
+                    let metrics = slice.evaluate(n_pre, n_wr);
                     evaluated += 1;
                     best_edp = best_edp.min(EnergyDelayProduct.score(&metrics));
                     front.offer(ParetoPoint {

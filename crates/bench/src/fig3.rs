@@ -93,7 +93,7 @@ pub fn negative_gnd_sweep(library: &DeviceLibrary) -> Result<Vec<AssistPoint>, C
     let vdd = library.nominal_vdd();
     (0..=8)
         .map(|k| {
-            let vssc = Voltage::from_millivolts(-30.0 * f64::from(k));
+            let vssc = Voltage::from_millivolts(f64::from(-30 * k));
             let bias = AssistVoltages::nominal(vdd)
                 .with_vddc(Voltage::from_millivolts(550.0))
                 .with_vssc(vssc);

@@ -53,7 +53,7 @@ pub fn negative_bitline_sweep(library: &DeviceLibrary) -> Result<Vec<WriteAssist
     let vdd = library.nominal_vdd();
     let mut out = Vec::new();
     for k in 0..=8 {
-        let vbl = Voltage::from_millivolts(-25.0 * f64::from(k));
+        let vbl = Voltage::from_millivolts(f64::from(-25 * k));
         let bias = AssistVoltages::nominal(vdd).with_vbl(vbl);
         out.push(WriteAssistPoint {
             level: vbl,

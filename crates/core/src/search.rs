@@ -136,24 +136,19 @@ impl<'a> ExhaustiveSearch<'a> {
         trace.arg("examined", stats.examined as i64);
         trace.arg("feasible", stats.feasible as i64);
 
+        // Everything but the fins is evaluated once for the slice; a
+        // failed validation fails every point of it.
+        let Ok(slice) = ArrayModel::new(org, self.cell, self.periphery, self.params)
+            .with_vssc(vssc)
+            .prepare()
+        else {
+            stats.eval_errors = stats.examined;
+            return (None, stats);
+        };
         let mut best: Option<ScoredCandidate> = None;
         for &n_pre in &npre_values {
             for &n_wr in &nwr_values {
-                let metrics = match ArrayModel::new(org, self.cell, self.periphery, self.params)
-                    .with_precharge_fins(n_pre)
-                    .with_write_fins(n_wr)
-                    .with_vssc(vssc)
-                    .evaluate()
-                {
-                    Ok(m) => {
-                        stats.evaluated += 1;
-                        m
-                    }
-                    Err(_) => {
-                        stats.eval_errors += 1;
-                        continue;
-                    }
-                };
+                let metrics = slice.evaluate(n_pre, n_wr);
                 let score = objective.score(&metrics);
                 // NaN policy: a non-finite score can never become the
                 // incumbent (a NaN first candidate would win `score < s`
@@ -161,10 +156,10 @@ impl<'a> ExhaustiveSearch<'a> {
                 // evaluation errors so the statistics partition
                 // (`feasible = evaluated + eval_errors`) still holds.
                 if !score.is_finite() {
-                    stats.evaluated -= 1;
                     stats.eval_errors += 1;
                     continue;
                 }
+                stats.evaluated += 1;
                 if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
                     best = Some((
                         DesignPoint {
@@ -512,6 +507,19 @@ mod tests {
         let s = out.stats;
         assert_eq!(s.examined, s.feasible + s.infeasible);
         assert_eq!(s.feasible, s.evaluated + s.eval_errors);
+    }
+
+    #[test]
+    fn invalid_params_fail_every_point_of_a_slice() {
+        let mut fx = fixture();
+        fx.params.activity = 1.5;
+        let org = ArrayOrganization::new(128, 64, 64).unwrap();
+        let (best, stats) = search(&fx).best_in_slice(org, Voltage::ZERO, &EnergyDelayProduct);
+        assert!(best.is_none());
+        assert!(stats.examined > 0);
+        assert_eq!(stats.feasible, stats.examined);
+        assert_eq!(stats.eval_errors, stats.examined);
+        assert_eq!(stats.evaluated, 0);
     }
 
     #[test]

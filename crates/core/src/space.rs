@@ -30,8 +30,9 @@ impl DesignSpace {
     #[must_use]
     pub fn paper_default() -> Self {
         Self {
+            // Integer steps: `-10.0 * 0.0` would make the first level -0.
             vssc_values: (0..=24)
-                .map(|k| Voltage::from_millivolts(-10.0 * f64::from(k)))
+                .map(|k| Voltage::from_millivolts(f64::from(-10 * k)))
                 .collect(),
             rows_range: (2, 1024),
             npre_range: (1, 50),
@@ -47,7 +48,7 @@ impl DesignSpace {
     pub fn coarse() -> Self {
         Self {
             vssc_values: (0..=4)
-                .map(|k| Voltage::from_millivolts(-60.0 * f64::from(k)))
+                .map(|k| Voltage::from_millivolts(f64::from(-60 * k)))
                 .collect(),
             ..Self::paper_default()
         }
@@ -141,6 +142,15 @@ mod tests {
         assert_eq!(s.rows_range(), (2, 1024));
         assert_eq!(s.npre_values().len(), 50);
         assert_eq!(s.nwr_values().len(), 20);
+    }
+
+    #[test]
+    fn first_vssc_level_is_positive_zero() {
+        for s in [DesignSpace::paper_default(), DesignSpace::coarse()] {
+            let first = s.vssc_values()[0].volts();
+            assert_eq!(first, 0.0);
+            assert!(first.is_sign_positive(), "V_SSC starts at -0");
+        }
     }
 
     #[test]

@@ -788,6 +788,7 @@ impl Engine {
             delta: self.framework.delta(),
         };
         let capacity = Capacity::from_bytes(capacity_bytes as usize);
+        let (npre_values, nwr_values) = (space.npre_values(), space.nwr_values());
         let mut front = ParetoFront::new();
         for org in
             ArrayOrganization::enumerate(capacity, self.framework.word_bits(), space.rows_range())
@@ -801,19 +802,18 @@ impl Engine {
                 if !constraint.check_snapshot(cell, vssc) {
                     continue;
                 }
-                for &n_pre in &space.npre_values() {
-                    for &n_wr in &space.nwr_values() {
-                        let metrics = ArrayModel::new(
-                            org,
-                            cell,
-                            self.framework.periphery(),
-                            self.framework.params(),
-                        )
-                        .with_precharge_fins(n_pre)
-                        .with_write_fins(n_wr)
-                        .with_vssc(vssc)
-                        .evaluate()
-                        .map_err(CooptError::Array)?;
+                let slice = ArrayModel::new(
+                    org,
+                    cell,
+                    self.framework.periphery(),
+                    self.framework.params(),
+                )
+                .with_vssc(vssc)
+                .prepare()
+                .map_err(CooptError::Array)?;
+                for &n_pre in &npre_values {
+                    for &n_wr in &nwr_values {
+                        let metrics = slice.evaluate(n_pre, n_wr);
                         front.offer(ParetoPoint {
                             energy: metrics.energy,
                             delay: metrics.delay,
